@@ -39,7 +39,6 @@
 #include "clos/folded_clos.hpp"
 #include "exp/experiment.hpp"
 #include "routing/updown.hpp"
-#include "sim/sweep.hpp"
 #include "sim/traffic.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"

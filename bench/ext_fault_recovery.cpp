@@ -29,7 +29,7 @@
 
 #include "bench_common.hpp"
 #include "clos/fat_tree.hpp"
-#include "clos/faults.hpp"
+#include "clos/topology_events.hpp"
 #include "clos/rfc.hpp"
 #include "util/rng.hpp"
 
@@ -93,15 +93,15 @@ main(int argc, char **argv)
 
     // Timelines are shared read-only by the trials; materialize them
     // all before taking addresses.
-    std::vector<FaultTimeline> timelines;
+    std::vector<TopologyTimeline> timelines;
     timelines.reserve(2 * static_cast<std::size_t>(steps));
     for (int s = 1; s <= steps; ++s) {
         auto k = static_cast<std::size_t>(s) *
                  static_cast<std::size_t>(step_links);
-        timelines.push_back(FaultTimeline::randomFailRepair(
+        timelines.push_back(TopologyTimeline::randomFailRepair(
             cft, k, fail_at, repair_at,
             deriveSeed(seed, 0xFA17ULL, static_cast<std::uint64_t>(s))));
-        timelines.push_back(FaultTimeline::randomFailRepair(
+        timelines.push_back(TopologyTimeline::randomFailRepair(
             rfc_fc, k, fail_at, repair_at,
             deriveSeed(seed, 0xFA18ULL, static_cast<std::uint64_t>(s))));
     }
@@ -117,7 +117,7 @@ main(int argc, char **argv)
             spec.config = base;
             spec.label = (net == 0 ? "CFT@" : "RFC@") + std::to_string(s);
             if (s > 0)
-                spec.timeline =
+                spec.topo_timeline =
                     &timelines[2 * static_cast<std::size_t>(s - 1) +
                                static_cast<std::size_t>(net)];
             specs.push_back(std::move(spec));

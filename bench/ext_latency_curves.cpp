@@ -33,7 +33,6 @@
  * to stderr (or the JSON timing blocks, filtered by the CI
  * determinism diff).
  */
-#include <chrono>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -140,20 +139,15 @@ selfCheck(const Options &opts, double queue_seconds,
     // Validation-grade cycle counts (test_queue_validation uses the
     // same): an "equivalent" VCT sweep is one whose latency estimates
     // are actually converged, not a token run.
-    SimConfig base;
-    base.warmup = 1000;
-    base.measure = 5000;
-    base.seed = seed;
-    TrafficFactory uniform = []() { return makeTraffic("uniform"); };
-
-    auto t0 = std::chrono::steady_clock::now();
+    ExperimentGrid grid;
     for (const auto &n : nets)
-        runLoadSweep(*n.topology, *n.oracle, uniform, base, loads,
-                     /*repetitions=*/1, opts.jobs());
+        grid.addNetwork(n.label, *n.topology, *n.oracle);
+    grid.addTraffic("uniform");
+    grid.loads = loads;
+    grid.base.warmup = 1000;
+    grid.base.measure = 5000;
     double vct_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+        ExperimentEngine(opts.jobs(), seed).run(grid).wall_seconds;
 
     double ratio = queue_seconds > 0.0 ? vct_seconds / queue_seconds
                                        : 1e9;

@@ -70,24 +70,25 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
 
+    // The flow, queue and closed-loop sections below evaluate the same
+    // networks, oracles and seed.
+    std::vector<UpDownOracle> oracles;
+    oracles.reserve(nets.size());
+    for (const auto &net : nets)
+        oracles.emplace_back(net);
+    ExperimentEngine engine(
+        opts.jobs(), static_cast<std::uint64_t>(opts.getInt("seed", 2)));
+    DemandGrid points;
+    for (std::size_t i = 0; i < nets.size(); ++i)
+        points.addClos(nets[i].name(), nets[i], oracles[i]);
+    points.patterns = {"uniform"};
+    points.max_paths = static_cast<int>(opts.getInt("max-paths", 16));
+    points.uniform_samples = static_cast<int>(opts.getInt("samples", 4));
+
     // Flow-level throughput under sampled uniform demand: the
     // saturation answer of Figures 8-10 without packet simulation.
     {
-        FlowGrid grid;
-        std::vector<UpDownOracle> oracles;
-        oracles.reserve(nets.size());
-        for (const auto &net : nets)
-            oracles.emplace_back(net);
-        for (std::size_t i = 0; i < nets.size(); ++i)
-            grid.addClos(nets[i].name(), nets[i], oracles[i]);
-        grid.patterns = {"uniform"};
-        grid.max_paths =
-            static_cast<int>(opts.getInt("max-paths", 16));
-        grid.uniform_samples =
-            static_cast<int>(opts.getInt("samples", 4));
-        ExperimentEngine engine(
-            opts.jobs(), static_cast<std::uint64_t>(opts.getInt("seed",
-                                                                2)));
+        FlowGrid grid{points, SolveOptions{}};
         FlowGridResult flows = runFlowGrid(grid, engine);
 
         std::cout << "\nflow model, sampled uniform demand ("
@@ -109,22 +110,7 @@ main(int argc, char **argv)
     // p99) without a packet simulation.  "-" marks loads past the
     // topology's fluid saturation.
     {
-        QueueGrid grid;
-        std::vector<UpDownOracle> oracles;
-        oracles.reserve(nets.size());
-        for (const auto &net : nets)
-            oracles.emplace_back(net);
-        for (std::size_t i = 0; i < nets.size(); ++i)
-            grid.addClos(nets[i].name(), nets[i], oracles[i]);
-        grid.patterns = {"uniform"};
-        grid.loads = {0.2, 0.5, 0.8};
-        grid.max_paths =
-            static_cast<int>(opts.getInt("max-paths", 16));
-        grid.uniform_samples =
-            static_cast<int>(opts.getInt("samples", 4));
-        ExperimentEngine engine(
-            opts.jobs(), static_cast<std::uint64_t>(opts.getInt("seed",
-                                                                2)));
+        QueueGrid grid{points, {0.2, 0.5, 0.8}};
         QueueGridResult curves = runQueueGrid(grid, engine);
 
         std::cout << "\nqueue model (M/D/1 per port), latency in "
@@ -157,10 +143,6 @@ main(int argc, char **argv)
     // --measure for converged tails).
     {
         WorkloadGrid grid;
-        std::vector<UpDownOracle> oracles;
-        oracles.reserve(nets.size());
-        for (const auto &net : nets)
-            oracles.emplace_back(net);
         for (std::size_t i = 0; i < nets.size(); ++i)
             grid.addNetwork(nets[i].name(), nets[i], oracles[i]);
         WorkloadSpec rpc;
@@ -173,9 +155,6 @@ main(int argc, char **argv)
             opts.getInt("measure", 2000);
         grid.base.seed =
             static_cast<std::uint64_t>(opts.getInt("seed", 2));
-        ExperimentEngine engine(
-            opts.jobs(), static_cast<std::uint64_t>(opts.getInt("seed",
-                                                                2)));
         WorkloadGridResult wl = runWorkloadGrid(grid, engine);
 
         std::cout << "\nclosed-loop workloads at load "

@@ -11,10 +11,10 @@
  * oracle rebuilds; nestedFaultLevels() is that scaffolding, once.
  *
  * Dynamic drills (bench/ext_fault_recovery) run ONE simulation through
- * a FaultTimeline and read the recovery story off the delivered-per-bin
- * telemetry series; computeRecovery() turns that series into the
- * headline numbers: pre-failure baseline, depth of the throughput dip,
- * and the sustained time-to-reconverge.
+ * a TopologyTimeline of fail/repair events and read the recovery story
+ * off the delivered-per-bin telemetry series; computeRecovery() turns
+ * that series into the headline numbers: pre-failure baseline, depth
+ * of the throughput dip, and the sustained time-to-reconverge.
  */
 #ifndef RFC_ANALYSIS_FAULT_SWEEP_HPP
 #define RFC_ANALYSIS_FAULT_SWEEP_HPP

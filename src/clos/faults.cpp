@@ -1,6 +1,5 @@
 #include "clos/faults.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace rfc {
@@ -94,62 +93,6 @@ LinkFaultState::setLink(int lower, int upper, bool dead)
         }
     }
     throw std::logic_error("LinkFaultState: link lists out of sync");
-}
-
-// ======================================================================
-// FaultTimeline
-// ======================================================================
-
-FaultTimeline &
-FaultTimeline::add(long long cycle, int lower, int upper, bool fail)
-{
-    if (cycle < 0)
-        throw std::invalid_argument("FaultTimeline: cycle must be >= 0");
-    FaultEvent ev{cycle, lower, upper, fail};
-    // Stable insert: events of the same cycle keep insertion order.
-    auto it = std::upper_bound(
-        events_.begin(), events_.end(), cycle,
-        [](long long c, const FaultEvent &e) { return c < e.cycle; });
-    events_.insert(it, ev);
-    return *this;
-}
-
-FaultTimeline
-FaultTimeline::randomFailRepair(const FoldedClos &fc, std::size_t count,
-                                long long fail_at, long long repair_at,
-                                std::uint64_t seed)
-{
-    Rng rng(seed);
-    auto order = randomLinkOrder(fc, rng);
-    if (count > order.size())
-        throw std::out_of_range(
-            "FaultTimeline::randomFailRepair: count > links");
-    if (repair_at >= 0 && repair_at <= fail_at)
-        throw std::invalid_argument(
-            "FaultTimeline::randomFailRepair: repair_at must be after "
-            "fail_at (or < 0 for no repair)");
-    FaultTimeline tl;
-    for (std::size_t i = 0; i < count; ++i)
-        tl.fail(fail_at, order[i].lower, order[i].upper);
-    if (repair_at >= 0)
-        for (std::size_t i = 0; i < count; ++i)
-            tl.repair(repair_at, order[i].lower, order[i].upper);
-    return tl;
-}
-
-long long
-FaultTimeline::firstFailCycle() const
-{
-    for (const FaultEvent &e : events_)
-        if (e.fail)
-            return e.cycle;
-    return -1;
-}
-
-long long
-FaultTimeline::lastEventCycle() const
-{
-    return events_.empty() ? -1 : events_.back().cycle;
 }
 
 } // namespace rfc

@@ -1,29 +1,31 @@
 /**
  * @file
- * Scheduled topology-change events: the generalization of the fault
- * pipeline (clos/faults.hpp) from link fail/repair to *growth*.
+ * Scheduled topology-change events: the one runtime event timeline,
+ * covering link faults (fail/repair) and *growth*.
  *
  * The paper's strong-expandability claim (Section 5, Figure 7) is an
  * offline statement: an RFC grows by rewiring only O(R * l) links.
  * This module makes it a runtime statement.  A TopologyTimeline
- * schedules expansion events - staged links detaching and attaching,
- * switches being commissioned, new terminals passing their activation
- * barrier - against a *union* topology that already contains every
- * link any stage will ever add (staged links simply start dead in the
- * LinkFaultState overlay).  The engine applies the events at its
- * existing cycle-hook barrier while packets fly, exactly like fault
- * events, and the up/down oracle extends itself incrementally
- * (UpDownOracle::applyTopologyEvent).
+ * schedules link failures and repairs as well as expansion events -
+ * staged links detaching and attaching, switches being commissioned,
+ * new terminals passing their activation barrier - against a *union*
+ * topology that already contains every link any stage will ever add
+ * (staged links simply start dead in the LinkFaultState overlay of
+ * clos/faults.hpp).  The engine applies the events at its cycle-hook
+ * barrier while packets fly, and the up/down oracle repairs or
+ * extends itself incrementally (UpDownOracle::applyTopologyEvent).
  *
  * Event semantics (the attach/repair distinction matters):
  *
  *  - kFail / kRepair: a live link dies / a *previously failed* link
- *    comes back.  Identical runtime behavior to FaultEvent; kept
- *    distinct so fault and expansion traffic separate in the counters.
+ *    comes back (the fault drills, see randomFailRepair).
  *  - kDetach / kAttach: one rewire half.  An attached link is *staged*:
  *    it must exist in the bound topology and starts dead (see
  *    initialDead()), coming alive only when its attach event fires.  A
- *    detached link was alive and never comes back by itself.
+ *    detached link was alive and never comes back by itself.  At
+ *    runtime attach behaves like repair and detach like fail; they
+ *    differ only in the counters, so fault and expansion traffic
+ *    separate there.
  *  - kAddSwitch: commissioning marker for a pre-staged switch (its
  *    links are all staged, so the switch is invisible to routing until
  *    they attach); pure accounting, no overlay change.
@@ -32,10 +34,21 @@
  *    prefix and begin injecting a deterministic stagger after the
  *    barrier; they never deactivate.
  *
- * Ordering contract (shared with FaultTimeline, see clos/faults.hpp):
- * events are kept sorted by cycle with insertion order as the
- * tie-break, and the engine applies all events of a cycle in that
- * order inside one barrier, before any traffic of that cycle moves.
+ * Ordering contract, pinned by test_fault_timeline: events are kept
+ * sorted by cycle with insertion order as the tie-break, and the
+ * engine applies all events of a cycle in that order inside one
+ * barrier, so the order is part of the timeline definition, not of
+ * the execution.
+ *
+ *  - An event at cycle c applies at the *start* of cycle c, before any
+ *    packet generation, routing or movement of that cycle.  Cycle-0
+ *    events therefore describe the initial link state: a run with
+ *    fail(0, ...) events is bit-identical to a run whose oracle was
+ *    built on a pre-masked overlay.
+ *  - Multiple events on the same cycle apply back-to-back inside one
+ *    barrier, in insertion order.  fail(c, l) inserted before
+ *    repair(c, l) nets to a live link, the reverse insertion leaves it
+ *    dead; in-flight traffic never observes the intermediate states.
  */
 #ifndef RFC_CLOS_TOPOLOGY_EVENTS_HPP
 #define RFC_CLOS_TOPOLOGY_EVENTS_HPP
@@ -43,7 +56,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "clos/faults.hpp"
 #include "clos/folded_clos.hpp"
 
 namespace rfc {
@@ -71,10 +83,9 @@ struct TopologyEvent
 
 /**
  * Deterministic schedule of topology-change events, applied by the
- * engine at cycle barriers.  Same ordering contract as FaultTimeline:
- * sorted by cycle, insertion order breaks ties, and that order is part
- * of the timeline definition - results are bit-identical at any
- * `--jobs` / `--sim-jobs` value.
+ * engine at cycle barriers: sorted by cycle, insertion order breaks
+ * ties, and that order is part of the timeline definition - results
+ * are bit-identical at any `--jobs` / `--sim-jobs` value.
  */
 class TopologyTimeline
 {
@@ -122,12 +133,17 @@ class TopologyTimeline
     }
 
     /**
-     * Lift a link fail/repair schedule into the generalized pipeline.
-     * Event-for-event equivalent: the runtime applies the converted
-     * timeline through the same setLink/applyLinkEvent sequence the
-     * fault path used, so fault-only runs stay bit-identical.
+     * The canonical fail/recover drill: @p count uniformly random
+     * distinct links of @p fc fail at @p fail_at and - unless
+     * @p repair_at < 0 - are all repaired at @p repair_at.  The link
+     * draw depends only on @p seed (derive it with deriveSeed so
+     * sweeps stay reproducible at any parallelism).
      */
-    static TopologyTimeline fromFaults(const FaultTimeline &faults);
+    static TopologyTimeline randomFailRepair(const FoldedClos &fc,
+                                             std::size_t count,
+                                             long long fail_at,
+                                             long long repair_at,
+                                             std::uint64_t seed);
 
     bool empty() const { return events_.empty(); }
     std::size_t size() const { return events_.size(); }
@@ -145,8 +161,7 @@ class TopologyTimeline
 
     /**
      * Cycle of the first service-disrupting event (kFail or kDetach),
-     * or -1 when none - the recovery-analysis anchor generalizing
-     * FaultTimeline::firstFailCycle().
+     * or -1 when none - the recovery-analysis anchor.
      */
     long long firstDisruptionCycle() const;
 

@@ -176,50 +176,49 @@ ExperimentEngine::forEachIndex(
     parallelFor(*pool_, n, fn);
 }
 
+std::vector<ExperimentEngine::Trial>
+ExperimentEngine::runTrials(
+    std::size_t n_points, int reps,
+    const std::function<SimResult(std::size_t, std::uint64_t)> &run) const
+{
+    if (reps < 1)
+        throw std::invalid_argument("ExperimentEngine: reps must be >= 1");
+    const auto r = static_cast<std::size_t>(reps);
+    // One slot per trial, written exactly once by trial index; callers
+    // aggregate serially and in order, so the whole result is
+    // independent of scheduling.
+    std::vector<Trial> trials(n_points * r);
+    forEachIndex(trials.size(), [&](std::size_t t) {
+        const std::size_t p = t / r;
+        auto start = std::chrono::steady_clock::now();
+        trials[t].result = run(p, deriveSeed(base_seed_, p, t % r));
+        trials[t].seconds =
+            seconds(start, std::chrono::steady_clock::now());
+    });
+    return trials;
+}
+
 std::vector<PointResult>
 ExperimentEngine::runPoints(const std::vector<TrialSpec> &pts,
                             int reps) const
 {
-    if (reps < 1)
-        throw std::invalid_argument("ExperimentEngine: reps must be >= 1");
     const std::size_t n_points = pts.size();
-    const std::size_t n_trials = n_points * static_cast<std::size_t>(reps);
-
-    // One slot per trial, written exactly once by trial index; the
-    // aggregation pass below is serial and in-order, so the whole
-    // result is independent of scheduling.
-    std::vector<SimResult> trial_results(n_trials);
-    std::vector<double> trial_seconds(n_trials, 0.0);
-
-    forEachIndex(n_trials, [&](std::size_t t) {
-        const std::size_t p = t / static_cast<std::size_t>(reps);
-        const std::size_t rep = t % static_cast<std::size_t>(reps);
+    auto trials = runTrials(n_points, reps, [&](std::size_t p,
+                                                std::uint64_t seed) {
         const TrialSpec &spec = pts[p];
-
         SimConfig cfg = spec.config;
-        cfg.seed = deriveSeed(base_seed_, p, rep);
-
+        cfg.seed = seed;
         auto traffic = spec.traffic();
-        auto start = std::chrono::steady_clock::now();
         if (spec.topo_timeline) {
-            // Live topology-change trial (expansion drill): the bound
-            // topology is the union fabric, staged links start dead.
+            // Fault or topology-change trial: the simulator owns a
+            // private overlay + incrementally repaired oracle.
             Simulator sim(*spec.topology, *traffic, cfg,
                           *spec.topo_timeline, spec.policy);
-            trial_results[t] = sim.run();
-        } else if (spec.timeline) {
-            // Fault-injection trial: the simulator owns a private
-            // overlay + incrementally repaired oracle.
-            Simulator sim(*spec.topology, *traffic, cfg,
-                          *spec.timeline, spec.policy);
-            trial_results[t] = sim.run();
-        } else {
-            Simulator sim(*spec.topology, *spec.oracle, *traffic, cfg,
-                          spec.policy);
-            trial_results[t] = sim.run();
+            return sim.run();
         }
-        trial_seconds[t] = seconds(start,
-                                   std::chrono::steady_clock::now());
+        Simulator sim(*spec.topology, *spec.oracle, *traffic, cfg,
+                      spec.policy);
+        return sim.run();
     });
 
     std::vector<PointResult> out(n_points);
@@ -228,13 +227,9 @@ ExperimentEngine::runPoints(const std::vector<TrialSpec> &pts,
         RunningStat drp, rer, ret, ttr, dip, bar;
         const TrialSpec &spec = pts[p];
         const bool recovery =
-            (spec.timeline || spec.topo_timeline) &&
-            spec.config.telemetry_bin > 0;
+            spec.topo_timeline && spec.config.telemetry_bin > 0;
         const long long fail_cycle =
-            !recovery ? -1
-            : spec.topo_timeline
-                ? spec.topo_timeline->firstDisruptionCycle()
-                : spec.timeline->firstFailCycle();
+            recovery ? spec.topo_timeline->firstDisruptionCycle() : -1;
         const long long total_cycles =
             spec.config.warmup + spec.config.measure;
         PointResult &pr = out[p];
@@ -253,7 +248,7 @@ ExperimentEngine::runPoints(const std::vector<TrialSpec> &pts,
             const std::size_t t =
                 p * static_cast<std::size_t>(reps) +
                 static_cast<std::size_t>(rep);
-            const SimResult &r = trial_results[t];
+            const SimResult &r = trials[t].result;
             if (conservationGap(r) != 0)
                 ++pr.conservation_violations;
             acc.add(r.accepted);
@@ -292,9 +287,9 @@ ExperimentEngine::runPoints(const std::vector<TrialSpec> &pts,
                         static_cast<double>(r.delivered_bins[b]) /
                         static_cast<double>(reps);
             }
-            pr.trial_seconds_total += trial_seconds[t];
+            pr.trial_seconds_total += trials[t].seconds;
             pr.trial_seconds_max =
-                std::max(pr.trial_seconds_max, trial_seconds[t]);
+                std::max(pr.trial_seconds_max, trials[t].seconds);
             pr.perf.merge(r.perf);
         }
         pr.accepted = toMetricStat(acc);
@@ -316,6 +311,22 @@ ExperimentEngine::runPoints(const std::vector<TrialSpec> &pts,
         if (pr.expansion.active)
             pr.barrier_inflight = toMetricStat(bar);
     }
+    return out;
+}
+
+std::vector<double>
+loadRange(double lo, double hi, int points)
+{
+    if (!(lo > 0.0 && lo <= hi && hi <= 1.0))
+        throw std::invalid_argument(
+            "loadRange: need 0 < lo <= hi <= 1 (SimConfig rejects "
+            "zero offered load)");
+    // Interior points are clamped and the last one pinned: the affine
+    // formula alone can round past hi (0.2 + 0.8 * 6 / 6 > 1.0).
+    std::vector<double> out;
+    for (int i = 0; i + 1 < points; ++i)
+        out.push_back(std::min(hi, lo + (hi - lo) * i / (points - 1)));
+    out.push_back(hi);
     return out;
 }
 
@@ -368,6 +379,15 @@ writeMetric(JsonWriter &w, const char *name, const MetricStat &m,
 } // namespace
 
 void
+writeRunMemory(JsonWriter &w)
+{
+    w.key("memory");
+    w.beginObject();
+    w.kv("peak_rss_bytes", static_cast<std::int64_t>(peakRssBytes()));
+    w.endObject();
+}
+
+void
 writePointsJson(std::ostream &os, const std::vector<PointResult> &points,
                 std::uint64_t base_seed, int jobs, double wall_seconds,
                 int repetitions)
@@ -378,12 +398,7 @@ writePointsJson(std::ostream &os, const std::vector<PointResult> &points,
     w.kv("base_seed", static_cast<std::uint64_t>(base_seed));
     w.kv("repetitions", static_cast<std::int64_t>(repetitions));
     w.kv("wall_seconds", wall_seconds);
-    // Machine/run dependent like the timing fields: the CI determinism
-    // jobs filter peak_rss_bytes by name.
-    w.key("memory");
-    w.beginObject();
-    w.kv("peak_rss_bytes", static_cast<std::int64_t>(peakRssBytes()));
-    w.endObject();
+    writeRunMemory(w);
 
     w.key("points");
     w.beginArray();

@@ -16,10 +16,9 @@
  *    serial pass afterwards.
  *
  * Aggregation reports per-trial means plus stddev / 95% CI for every
- * metric - including the packet counters, which the legacy
- * sweep::average() summed across reps while averaging the rates (so a
- * 5-rep sweep reported 5x the counters of a 1-rep sweep).  Per-trial
- * wall-clock is recorded so every bench run doubles as perf telemetry.
+ * metric - including the packet counters, which are per-trial means
+ * too, never sums over reps.  Per-trial wall-clock is recorded so every
+ * bench run doubles as perf telemetry.
  */
 #ifndef RFC_EXP_EXPERIMENT_HPP
 #define RFC_EXP_EXPERIMENT_HPP
@@ -38,6 +37,7 @@
 
 namespace rfc {
 
+class JsonWriter;
 class ThreadPool;
 
 /** Creates a fresh Traffic instance for one trial (thread-confined). */
@@ -64,19 +64,13 @@ struct TrialSpec
     ClosPolicy policy = ClosPolicy::kOblivious;
 
     /**
-     * Optional runtime fault schedule: when set, the trial runs the
-     * fault-injection simulator (each trial owns a private link-state
-     * overlay and incrementally repaired oracle; `oracle` above is
-     * ignored and may stay null).  Shared read-only across trials.
-     */
-    const FaultTimeline *timeline = nullptr;
-
-    /**
-     * Optional live topology-change schedule (expansion drills):
-     * `topology` must be the matching *union* topology and takes
-     * precedence over `timeline` when both are set.  Recovery
-     * telemetry is keyed off firstDisruptionCycle() instead of the
-     * first fail.  Shared read-only across trials.
+     * Optional runtime fault or topology-change schedule: when set,
+     * the trial runs the timeline simulator (each trial owns a private
+     * link-state overlay and incrementally repaired oracle; `oracle`
+     * above is ignored and may stay null).  For expansion drills
+     * `topology` must be the matching *union* topology.  Recovery
+     * telemetry is keyed off firstDisruptionCycle().  Shared read-only
+     * across trials.
      */
     const TopologyTimeline *topo_timeline = nullptr;
 };
@@ -131,9 +125,9 @@ struct PointResult
     MetricStat barrier_inflight;  //!< in-flight packets at change barriers
 
     // ---- fault-recovery aggregates ------------------------------
-    // Populated when the point's trials carried a FaultTimeline and
+    // Populated when the point's trials carried a timeline and
     // telemetry bins (SimConfig::telemetry_bin > 0).
-    MetricStat time_to_reconverge;  //!< cycles after first failure (-1 = never)
+    MetricStat time_to_reconverge;  //!< cycles after disruption (-1 = never)
     MetricStat dip_fraction;        //!< min post-failure rate / baseline
     std::vector<double> delivered_bins_mean;  //!< mean recovery curve
     long long telemetry_bin = 0;    //!< bin width of the curve (0 = none)
@@ -221,6 +215,14 @@ struct ExperimentGrid
     }
 };
 
+/**
+ * Evenly spaced loads in [lo, hi] with @p points entries, for
+ * ExperimentGrid::loads: the first is exactly @p lo and the last exactly
+ * @p hi (a single point is @p hi).  Throws std::invalid_argument unless
+ * 0 < lo <= hi <= 1: SimConfig::validate rejects a load of 0 or above 1.
+ */
+std::vector<double> loadRange(double lo, double hi, int points);
+
 /** Result of ExperimentGrid::run: points in grid declaration order. */
 struct GridResult
 {
@@ -273,6 +275,26 @@ class ExperimentEngine
     /** Expand and run a declarative grid. */
     GridResult run(const ExperimentGrid &grid) const;
 
+    /** One trial's raw output and wall clock. */
+    struct Trial
+    {
+        SimResult result;
+        double seconds = 0.0;
+    };
+
+    /**
+     * The trial loop under runPoints and runWorkloadGrid: run @p reps
+     * trials of each of @p n_points points on the pool.  Trial rep of
+     * point p calls run(p, deriveSeed(base_seed, p, rep)) and lands in
+     * slot p * reps + rep, so the result is independent of scheduling
+     * and bit-identical for any jobs value.  Exceptions from trials are
+     * rethrown on the caller.
+     */
+    std::vector<Trial>
+    runTrials(std::size_t n_points, int reps,
+              const std::function<SimResult(std::size_t, std::uint64_t)>
+                  &run) const;
+
     /**
      * Generic parallel study: aggregate `reps` scalar-valued trials of
      * fn(rep, seed), with seed = deriveSeed(base_seed, stream, rep).
@@ -323,6 +345,13 @@ MetricStat toMetricStat(const RunningStat &s);
  * PointResult::conservation_violations.
  */
 long long conservationGap(const SimResult &r);
+
+/**
+ * Write the run-level "memory" object (peak RSS) every grid JSON
+ * carries.  Machine and run dependent like the timing fields: the CI
+ * determinism diffs filter peak_rss_bytes by name.
+ */
+void writeRunMemory(JsonWriter &w);
 
 /**
  * Emit a grid result as a JSON document: run metadata (jobs, seed,

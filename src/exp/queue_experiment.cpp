@@ -1,98 +1,17 @@
 #include "exp/queue_experiment.hpp"
 
 #include <chrono>
-#include <stdexcept>
 
 #include "util/json.hpp"
-#include "util/mem.hpp"
-#include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace rfc {
-
-QueueGrid &
-QueueGrid::addClos(std::string label, const FoldedClos &fc,
-                   const UpDownOracle &oracle)
-{
-    networks.push_back({std::move(label), &fc, &oracle, nullptr, 0});
-    return *this;
-}
-
-QueueGrid &
-QueueGrid::addGraph(std::string label, const Graph &g,
-                    int hosts_per_switch)
-{
-    networks.push_back(
-        {std::move(label), nullptr, nullptr, &g, hosts_per_switch});
-    return *this;
-}
-
-namespace {
-
-double
-seconds(std::chrono::steady_clock::time_point a,
-        std::chrono::steady_clock::time_point b)
-{
-    return std::chrono::duration<double>(b - a).count();
-}
-
-} // namespace
 
 QueueGridResult
 runQueueGrid(const QueueGrid &grid, const ExperimentEngine &engine)
 {
-    QueueGridResult result;
-    result.jobs = engine.jobs();
-    ThreadPool *pool = engine.pool();
-    auto t0 = std::chrono::steady_clock::now();
-
-    for (std::size_t ni = 0; ni < grid.networks.size(); ++ni) {
-        const FlowNetwork &net = grid.networks[ni];
-        for (std::size_t pi = 0; pi < grid.patterns.size(); ++pi) {
-            std::size_t point = ni * grid.patterns.size() + pi;
-            QueuePointResult r;
-            r.network = net.label;
-            r.pattern = grid.patterns[pi];
-            r.terminals =
-                net.topology
-                    ? net.topology->numTerminals()
-                    : static_cast<long long>(net.graph->numVertices()) *
-                          net.hosts_per_switch;
-            if (net.topology) {
-                r.topology_bytes = net.topology->memoryBytes();
-                r.oracle_bytes = net.oracle->memoryBytes();
-            } else if (net.graph) {
-                r.topology_bytes =
-                    static_cast<std::int64_t>(net.graph->numEdges()) * 2 *
-                        4 +
-                    static_cast<std::int64_t>(net.graph->numVertices()) *
-                        static_cast<std::int64_t>(
-                            sizeof(std::vector<int>));
-            }
-
-            DemandMatrix dm = makeDemandMatrix(
-                grid.patterns[pi], r.terminals,
-                deriveSeed(engine.baseSeed(), point, 0),
-                grid.uniform_samples, grid.shift_stride);
-
-            auto tb = std::chrono::steady_clock::now();
-            FlowProblem problem;
-            if (net.topology) {
-                UpDownEcmpPaths provider(
-                    *net.topology, *net.oracle, grid.max_paths,
-                    deriveSeed(engine.baseSeed(), point, 1));
-                problem = buildClosFlowProblem(*net.topology, provider,
-                                               dm, pool);
-            } else if (net.graph) {
-                KspPaths provider(*net.graph, grid.max_paths);
-                problem = buildGraphFlowProblem(
-                    *net.graph, net.hosts_per_switch, provider, dm, pool);
-            } else {
-                throw std::invalid_argument(
-                    "runQueueGrid: network without topology or graph");
-            }
+    return runDemandGrid<QueuePointResult>(
+        grid, engine, [&](const FlowProblem &problem, QueuePointResult &r) {
             auto ts = std::chrono::steady_clock::now();
-
             auto model = makeQueueModel(
                 grid.model, static_cast<double>(grid.pkt_phits),
                 grid.mg1_cv2);
@@ -100,28 +19,20 @@ runQueueGrid(const QueueGrid &grid, const ExperimentEngine &engine)
             opt.loads = grid.loads;
             opt.pkt_phits = grid.pkt_phits;
             opt.link_latency = grid.link_latency;
-            opt.pool = pool;
+            opt.pool = engine.pool();
             QueueSweepResult sweep =
                 queueLatencySweep(problem, *model, opt);
-            auto te = std::chrono::steady_clock::now();
 
-            r.demands = problem.numDemands();
             r.routed = sweep.routed;
             r.unrouted = sweep.unrouted;
-            r.links = static_cast<std::size_t>(problem.numLinks());
-            r.paths = problem.numPathsTotal();
             r.saturation = sweep.saturation;
             r.zero_load_latency = sweep.zero_load_latency;
             r.offered_weight = sweep.offered_weight;
             r.curve = std::move(sweep.points);
-            r.build_seconds = seconds(tb, ts);
-            r.sweep_seconds = seconds(ts, te);
-            result.points.push_back(std::move(r));
-        }
-    }
-
-    result.wall_seconds = seconds(t0, std::chrono::steady_clock::now());
-    return result;
+            r.sweep_seconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - ts)
+                                  .count();
+        });
 }
 
 void
@@ -140,25 +51,12 @@ writeQueueGridJson(std::ostream &os, const QueueGrid &grid,
     w.kv("uniform_samples",
          static_cast<std::int64_t>(grid.uniform_samples));
     w.kv("wall_seconds", result.wall_seconds);
-    // Machine/run dependent; the CI determinism jobs filter
-    // peak_rss_bytes by name.
-    w.key("memory");
-    w.beginObject();
-    w.kv("peak_rss_bytes", static_cast<std::int64_t>(peakRssBytes()));
-    w.endObject();
+    writeRunMemory(w);
 
     w.key("points");
     w.beginArray();
     for (const auto &p : result.points) {
-        w.beginObject();
-        w.kv("network", p.network);
-        w.kv("pattern", p.pattern);
-        w.kv("terminals", static_cast<std::int64_t>(p.terminals));
-        w.kv("demands", static_cast<std::uint64_t>(p.demands));
-        w.kv("routed", static_cast<std::uint64_t>(p.routed));
-        w.kv("unrouted", static_cast<std::uint64_t>(p.unrouted));
-        w.kv("links", static_cast<std::uint64_t>(p.links));
-        w.kv("paths", static_cast<std::uint64_t>(p.paths));
+        writeDemandPointHead(w, p);
         w.kv("saturation", p.saturation);
         w.kv("zero_load_latency", p.zero_load_latency);
         w.kv("offered_weight", p.offered_weight);
@@ -175,18 +73,7 @@ writeQueueGridJson(std::ostream &os, const QueueGrid &grid,
             w.endObject();
         }
         w.endArray();
-        w.key("memory");
-        w.beginObject();
-        w.kv("topology_bytes",
-             static_cast<std::int64_t>(p.topology_bytes));
-        w.kv("oracle_bytes", static_cast<std::int64_t>(p.oracle_bytes));
-        w.endObject();
-        w.key("timing");
-        w.beginObject();
-        w.kv("build_seconds", p.build_seconds);
-        w.kv("sweep_seconds", p.sweep_seconds);
-        w.endObject();
-        w.endObject();
+        writeDemandPointTail(w, p, "sweep_seconds", p.sweep_seconds);
     }
     w.endArray();
     w.endObject();

@@ -2,18 +2,18 @@
  * @file
  * Queue-model latency grids on the deterministic experiment engine.
  *
- * Same declarative shape as FlowGrid (networks x demand patterns) plus
- * a load axis: every point builds the flow problem for its network and
- * pattern and runs the analytic latency sweep (queue/latency) over all
- * loads.  This is the affordable way to get latency-vs-load *curves*
- * (not just saturation points) at scales where the VCT engine needs
- * hours - validated against it in tests/test_queue_validation.
+ * A queue grid is the flow tier's point set (DemandGrid: networks x
+ * demand patterns) plus a load axis and the queue settings: every
+ * point builds the flow problem for its network and pattern through
+ * the shared preparation path (forEachDemandPoint) and runs the
+ * analytic latency sweep (queue/latency) over all loads.  This is the
+ * affordable way to get latency-vs-load *curves* (not just saturation
+ * points) at scales where the VCT engine needs hours - validated
+ * against it in tests/test_queue_validation.
  *
- * Seeding follows the src/exp contract: point p draws its demand
- * matrix from deriveSeed(base_seed, p, 0) and its path sampling from
- * deriveSeed(base_seed, p, 1) - identical to runFlowGrid, so a queue
- * grid and a flow grid over the same networks see the same demands
- * and paths.  Results are bit-identical at any --jobs value.
+ * Seeding is runFlowGrid's (see DemandGrid), so a queue grid and a
+ * flow grid over the same networks see the same demands and paths.
+ * Results are bit-identical at any --jobs value.
  */
 #ifndef RFC_EXP_QUEUE_EXPERIMENT_HPP
 #define RFC_EXP_QUEUE_EXPERIMENT_HPP
@@ -29,43 +29,21 @@
 namespace rfc {
 
 /** Declarative queue-model study: networks x patterns x loads. */
-struct QueueGrid
+struct QueueGrid : DemandGrid
 {
-    std::vector<FlowNetwork> networks;
-    /** `makeDemandMatrix` pattern names (uniform, fixed-random, ...). */
-    std::vector<std::string> patterns;
     /** Offered loads of every sweep, each in (0, 1]. */
     std::vector<double> loads;
-
-    int max_paths = 16;       //!< candidate-path cap per pair
-    int uniform_samples = 4;  //!< <= 0 = exact all-pairs
-    long long shift_stride = 1;
 
     int pkt_phits = 16;
     int link_latency = 1;
     /** makeQueueModel name: mm1, md1, mg1, mg1-history. */
     std::string model = "md1";
     double mg1_cv2 = 0.0;
-
-    QueueGrid &addClos(std::string label, const FoldedClos &fc,
-                       const UpDownOracle &oracle);
-    QueueGrid &addGraph(std::string label, const Graph &g,
-                        int hosts_per_switch);
 };
 
 /** Queue-engine outputs at one (network, pattern) grid point. */
-struct QueuePointResult
+struct QueuePointResult : DemandPointResult
 {
-    std::string network;
-    std::string pattern;
-    long long terminals = 0;
-
-    std::size_t demands = 0;
-    std::size_t routed = 0;
-    std::size_t unrouted = 0;
-    std::size_t links = 0;
-    std::size_t paths = 0;
-
     double saturation = 0.0;        //!< ECMP fluid saturation load
     double zero_load_latency = 0.0; //!< hop-latency floor (cycles)
     double offered_weight = 0.0;
@@ -73,28 +51,10 @@ struct QueuePointResult
     /** One QueueLoadPoint per grid load, in load order. */
     std::vector<QueueLoadPoint> curve;
 
-    double build_seconds = 0.0;  //!< paths + problem assembly
     double sweep_seconds = 0.0;  //!< fluid solve + analytic sweep
-
-    // ---- memory budget (bit-stable structure sizes) -------------
-    std::int64_t topology_bytes = 0;
-    std::int64_t oracle_bytes = 0;
 };
 
-/** Points in grid declaration order (network-major, then pattern). */
-struct QueueGridResult
-{
-    std::vector<QueuePointResult> points;
-    double wall_seconds = 0.0;
-    int jobs = 1;
-
-    std::size_t
-    index(std::size_t net, std::size_t pattern,
-          std::size_t n_patterns) const
-    {
-        return net * n_patterns + pattern;
-    }
-};
+using QueueGridResult = DemandGridResult<QueuePointResult>;
 
 /**
  * Run every grid point on @p engine (the sweep parallelizes *within*

@@ -4,9 +4,6 @@
 #include <chrono>
 
 #include "util/json.hpp"
-#include "util/mem.hpp"
-#include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace rfc {
 
@@ -17,17 +14,6 @@ WorkloadGrid::addNetwork(std::string label, const FoldedClos &fc,
     networks.push_back({std::move(label), &fc, &oracle});
     return *this;
 }
-
-namespace {
-
-/** One trial's raw outputs, filled into a slot indexed by trial id. */
-struct TrialOut
-{
-    SimResult r;
-    double seconds = 0.0;
-};
-
-} // namespace
 
 WorkloadGridResult
 runWorkloadGrid(const WorkloadGrid &grid, const ExperimentEngine &engine)
@@ -49,36 +35,24 @@ runWorkloadGrid(const WorkloadGrid &grid, const ExperimentEngine &engine)
     const std::size_t n_loads = grid.loads.size();
     const std::size_t n_points = grid.numPoints();
     const int reps = grid.repetitions;
-    const std::size_t n_trials = n_points * static_cast<std::size_t>(reps);
 
-    std::vector<TrialOut> slots(n_trials);
-    parallelFor(*engine.pool(), n_trials, [&](std::size_t trial) {
-        const std::size_t point = trial / static_cast<std::size_t>(reps);
-        const int rep = static_cast<int>(
-            trial % static_cast<std::size_t>(reps));
-        const std::size_t ni = point / (n_wls * n_loads);
-        const std::size_t wi = (point / n_loads) % n_wls;
-        const std::size_t li = point % n_loads;
-        const ExperimentGrid::Network &net = grid.networks[ni];
-
+    auto trials = engine.runTrials(n_points, reps, [&](std::size_t point,
+                                                       std::uint64_t seed) {
+        const ExperimentGrid::Network &net =
+            grid.networks[point / (n_wls * n_loads)];
         SimConfig cfg = grid.base;
-        cfg.load = grid.loads[li];
-        cfg.seed = deriveSeed(engine.baseSeed(), point,
-                              static_cast<std::uint64_t>(rep));
+        cfg.load = grid.loads[point % n_loads];
+        cfg.seed = seed;
 
         // The workload replaces the traffic pattern; the simulator
         // still needs one (its ctor seeds the demand matrix), so pass
         // the cheapest stateless pattern.
-        auto wl = makeWorkload(grid.workloads[wi], cfg.load);
+        auto wl = makeWorkload(grid.workloads[(point / n_loads) % n_wls],
+                               cfg.load);
         auto traffic = makeTraffic("uniform");
-        auto tb = std::chrono::steady_clock::now();
         Simulator sim(*net.topology, *net.oracle, *traffic, cfg);
         sim.attachWorkload(*wl);
-        TrialOut &out = slots[trial];
-        out.r = sim.run();
-        out.seconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - tb)
-                          .count();
+        return sim.run();
     });
 
     // Serial aggregation in trial order: bit-identical at any jobs.
@@ -108,10 +82,10 @@ runWorkloadGrid(const WorkloadGrid &grid, const ExperimentEngine &engine)
         RunningStat coflow_phases;
 
         for (int rep = 0; rep < reps; ++rep) {
-            const TrialOut &out =
-                slots[point * static_cast<std::size_t>(reps) +
-                      static_cast<std::size_t>(rep)];
-            const SimResult &r = out.r;
+            const ExperimentEngine::Trial &out =
+                trials[point * static_cast<std::size_t>(reps) +
+                       static_cast<std::size_t>(rep)];
+            const SimResult &r = out.result;
             const WorkloadMetrics &w = r.workload;
             goodput.add(w.goodput);
             accepted.add(r.accepted);
@@ -198,12 +172,7 @@ writeWorkloadGridJson(std::ostream &os, const WorkloadGrid &grid,
     w.kv("measure", static_cast<std::int64_t>(grid.base.measure));
     w.kv("shards", static_cast<std::int64_t>(grid.base.shards));
     w.kv("wall_seconds", result.wall_seconds);
-    // Machine/run dependent; the CI determinism jobs filter
-    // peak_rss_bytes by name.
-    w.key("memory");
-    w.beginObject();
-    w.kv("peak_rss_bytes", static_cast<std::int64_t>(peakRssBytes()));
-    w.endObject();
+    writeRunMemory(w);
 
     w.key("points");
     w.beginArray();

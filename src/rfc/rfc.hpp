@@ -52,7 +52,6 @@
 #include "routing/updown.hpp"
 #include "sim/direct.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "sim/traffic.hpp"
 #include "util/bitset.hpp"
 #include "util/json.hpp"

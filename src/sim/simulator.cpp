@@ -116,12 +116,13 @@ Simulator::TopologyRuntime::apply(long long now)
     }
 }
 
-void
-Simulator::initTimeline(const FoldedClos &fc, Traffic &traffic,
-                        const SimConfig &config, TopologyTimeline timeline)
+Simulator::Simulator(const FoldedClos &fc, Traffic &traffic,
+                     SimConfig config, const TopologyTimeline &timeline,
+                     ClosPolicy policy)
+    : layout_(FabricLayout::fromFoldedClos(fc)), policy_(policy)
 {
     config.validate();
-    runtime_ = std::make_unique<TopologyRuntime>(fc, std::move(timeline),
+    runtime_ = std::make_unique<TopologyRuntime>(fc, timeline,
                                                  config.fault_crosscheck);
     makeEngine(fc, runtime_->oracle, traffic, config);
     runtime_->engine = engine_.get();
@@ -132,26 +133,6 @@ Simulator::initTimeline(const FoldedClos &fc, Traffic &traffic,
     TopologyRuntime *tr = runtime_.get();
     engine_->setCycleHook(std::move(cycles),
                           [tr](long long now) { tr->apply(now); });
-}
-
-Simulator::Simulator(const FoldedClos &fc, Traffic &traffic,
-                     SimConfig config, const FaultTimeline &timeline,
-                     ClosPolicy policy)
-    : layout_(FabricLayout::fromFoldedClos(fc)), policy_(policy)
-{
-    // Lifted into the generalized pipeline: the converted timeline
-    // replays the exact setLink/applyLinkEvent sequence of the
-    // original fault path, so fault-only runs stay bit-identical.
-    initTimeline(fc, traffic, config,
-                 TopologyTimeline::fromFaults(timeline));
-}
-
-Simulator::Simulator(const FoldedClos &fc, Traffic &traffic,
-                     SimConfig config, const TopologyTimeline &timeline,
-                     ClosPolicy policy)
-    : layout_(FabricLayout::fromFoldedClos(fc)), policy_(policy)
-{
-    initTimeline(fc, traffic, config, timeline);
 }
 
 const UpDownOracle *

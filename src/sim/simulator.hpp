@@ -81,32 +81,21 @@ class Simulator
               ClosPolicy policy = ClosPolicy::kOblivious);
 
     /**
-     * Fault-injection run: bind a FaultTimeline whose link fail/repair
-     * events fire at cycle barriers while traffic flows.  The
+     * Fault-injection or live topology-change run: @p timeline may
+     * fail and repair links, rewire them (detach/attach against staged
+     * links of the bound *union* topology), commission switches and
+     * raise the active-terminal barrier while packets fly.  The
      * simulator owns a private link-state overlay plus a mutable
-     * oracle copy bound to it, repairs the oracle incrementally on
-     * every event (UpDownOracle::applyLinkEvent), and - when
-     * config.fault_crosscheck is set - proves each repair equal to a
-     * fresh rebuild (std::logic_error on mismatch).  @p fc, @p traffic
-     * must outlive the simulator; the timeline is copied.
-     */
-    Simulator(const FoldedClos &fc, Traffic &traffic, SimConfig config,
-              const FaultTimeline &timeline,
-              ClosPolicy policy = ClosPolicy::kOblivious);
-
-    /**
-     * Live topology-change run, the generalization of the fault ctor:
-     * @p timeline may rewire links (detach/attach against staged links
-     * of the bound *union* topology), commission switches and raise
-     * the active-terminal barrier while packets fly.  Staged links
-     * (every kAttach target) start dead in the overlay; a gated run
-     * additionally sets config.active_terminals to the pre-expansion
-     * terminal count.  Events apply at cycle barriers in timeline
-     * order, the oracle extends incrementally
-     * (UpDownOracle::applyTopologyEvent, crosschecked when
-     * config.fault_crosscheck is set), and SimResult::expansion
-     * reports the applied-change counters.  @p fc, @p traffic must
-     * outlive the simulator; the timeline is copied.
+     * oracle copy bound to it.  Staged links (every kAttach target)
+     * start dead in the overlay; a gated run additionally sets
+     * config.active_terminals to the pre-expansion terminal count.
+     * Events apply at cycle barriers in timeline order, the oracle is
+     * repaired incrementally (UpDownOracle::applyTopologyEvent) and -
+     * when config.fault_crosscheck is set - proven equal to a fresh
+     * rebuild after every event (std::logic_error on mismatch), and
+     * SimResult::expansion reports the applied-change counters.
+     * @p fc, @p traffic must outlive the simulator; the timeline is
+     * copied.
      */
     Simulator(const FoldedClos &fc, Traffic &traffic, SimConfig config,
               const TopologyTimeline &timeline,
@@ -235,10 +224,6 @@ class Simulator
     /** Build the policy-selected engine (shared by both ctors). */
     void makeEngine(const FoldedClos &fc, const UpDownOracle &oracle,
                     Traffic &traffic, const SimConfig &config);
-
-    /** Shared tail of the fault / topology-timeline ctors. */
-    void initTimeline(const FoldedClos &fc, Traffic &traffic,
-                      const SimConfig &config, TopologyTimeline timeline);
 
     FabricLayout layout_;  //!< must outlive engine_
     std::unique_ptr<TopologyRuntime> runtime_;  //!< must outlive engine_

@@ -1,18 +1,18 @@
 /**
  * @file
  * Tests for the deterministic parallel experiment engine: seed
- * derivation, bit-identical results at any --jobs value, and the
- * counter-aggregation semantics of the legacy sweep API.
+ * derivation, bit-identical results at any --jobs value, the shared
+ * trial loop, and the counter-aggregation semantics.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <stdexcept>
 
 #include "clos/fat_tree.hpp"
 #include "exp/experiment.hpp"
 #include "routing/updown.hpp"
-#include "sim/sweep.hpp"
 #include "sim/traffic.hpp"
 #include "util/rng.hpp"
 
@@ -139,65 +139,55 @@ TEST(ExperimentEngine, TrialExceptionReachesTheCaller)
                  std::runtime_error);
 }
 
-TEST(Sweep, LegacyCountersReportPerTrialMeansNotSums)
+TEST(ExperimentEngine, CountersReportPerTrialMeansNotSums)
 {
-    // API change (documented in sweep.hpp): the old aggregator summed
-    // delivered/generated/suppressed counters across repetitions while
-    // averaging the rates; counters are now per-trial means too.
+    // Packet counters aggregate like the rates: a 3-rep point reports
+    // the per-trial mean, never the total over its reps.
     auto fc = buildCft(4, 2);
     UpDownOracle oracle(fc);
-    auto cfg = quickConfig();
 
-    UniformTraffic t1, t3;
-    auto one = runLoadSweep(fc, oracle, t1, cfg, {0.5}, 1);
-    auto three = runLoadSweep(fc, oracle, t3, cfg, {0.5}, 3);
+    ExperimentGrid grid;
+    grid.addNetwork("cft", fc, oracle);
+    grid.addTraffic("uniform");
+    grid.loads = {0.5};
+    grid.base = quickConfig();
+    ExperimentEngine engine(1, 5);
+    auto one = engine.run(grid).points;
+    grid.repetitions = 3;
+    auto three = engine.run(grid).points;
     ASSERT_EQ(one.size(), 1u);
     ASSERT_EQ(three.size(), 1u);
-    ASSERT_GT(one[0].delivered_packets, 0);
-    // A 3-rep sweep of the same scenario must report a similar counter
-    // magnitude, not a 3x total.
-    EXPECT_LT(three[0].delivered_packets,
-              2 * one[0].delivered_packets);
-    EXPECT_GT(three[0].delivered_packets,
-              one[0].delivered_packets / 2);
+    const double d1 = one[0].delivered_packets.mean;
+    const double d3 = three[0].delivered_packets.mean;
+    ASSERT_GT(d1, 0.0);
+    EXPECT_LT(d3, 2 * d1);
+    EXPECT_GT(d3, d1 / 2);
+    // toSimResult rounds the same per-trial means.
+    EXPECT_EQ(three[0].toSimResult().delivered_packets, std::llround(d3));
 }
 
-TEST(Sweep, FactoryOverloadMatchesBorrowedTrafficBitForBit)
+TEST(ExperimentEngine, RunTrialsSeedsEveryTrialByPointAndRep)
 {
-    auto fc = buildCft(4, 2);
-    UpDownOracle oracle(fc);
-    auto cfg = quickConfig();
-    std::vector<double> loads{0.2, 0.7};
-
-    UniformTraffic borrowed;
-    auto serial = runLoadSweep(fc, oracle, borrowed, cfg, loads, 2);
-    auto parallel = runLoadSweep(fc, oracle, namedTraffic("uniform"),
-                                 cfg, loads, 2, 4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].offered, parallel[i].offered);
-        EXPECT_EQ(serial[i].accepted, parallel[i].accepted);
-        EXPECT_EQ(serial[i].avg_latency, parallel[i].avg_latency);
-        EXPECT_EQ(serial[i].avg_hops, parallel[i].avg_hops);
-        EXPECT_EQ(serial[i].delivered_packets,
-                  parallel[i].delivered_packets);
-        EXPECT_EQ(serial[i].generated_packets,
-                  parallel[i].generated_packets);
+    ExperimentEngine engine(4, 9);
+    auto trials = engine.runTrials(3, 2, [](std::size_t p,
+                                            std::uint64_t seed) {
+        SimResult r;
+        r.offered = static_cast<double>(p);
+        r.generated_packets = static_cast<long long>(seed % 1000003);
+        return r;
+    });
+    ASSERT_EQ(trials.size(), 6u);
+    for (std::size_t t = 0; t < trials.size(); ++t) {
+        EXPECT_EQ(trials[t].result.offered, static_cast<double>(t / 2));
+        EXPECT_EQ(trials[t].result.generated_packets,
+                  static_cast<long long>(deriveSeed(9, t / 2, t % 2) %
+                                         1000003));
     }
-}
-
-TEST(Sweep, SaturationThroughputAgreesAcrossOverloads)
-{
-    auto fc = buildCft(4, 2);
-    UpDownOracle oracle(fc);
-    auto cfg = quickConfig();
-
-    UniformTraffic borrowed;
-    auto serial = saturationThroughput(fc, oracle, borrowed, cfg, 2);
-    auto parallel = saturationThroughput(
-        fc, oracle, namedTraffic("uniform"), cfg, 2, 8);
-    EXPECT_EQ(serial.accepted, parallel.accepted);
-    EXPECT_EQ(serial.offered, 1.0);
+    EXPECT_THROW(engine.runTrials(1, 0,
+                                  [](std::size_t, std::uint64_t) {
+                                      return SimResult{};
+                                  }),
+                 std::invalid_argument);
 }
 
 } // namespace

@@ -34,10 +34,11 @@ verifyCertificate(const FlowProblem &p, const FlowSolution &s,
             for (std::size_t k = 0; k < p.pathLength(q); ++k)
                 load[p.pathLinks(q)[k]] += s.path_flow[q];
         }
-        if (p.numPaths(d) > 0)
+        if (p.numPaths(d) > 0) {
             EXPECT_NEAR(delivered, s.throughput * p.weight(d),
                         tol + 1e-9 * s.throughput)
                 << "demand " << d;
+        }
     }
     for (std::int32_t l = 0; l < p.numLinks(); ++l)
         EXPECT_LE(load[l], p.capacity(l) * (1.0 + tol)) << "link " << l;

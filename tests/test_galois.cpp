@@ -81,8 +81,9 @@ TEST_P(GaloisFieldP, MultiplicativeGroupAxioms)
     for (int a = 0; a < q; ++a) {
         EXPECT_EQ(f.mul(a, 1), a);                  // identity
         EXPECT_EQ(f.mul(a, 0), 0);                  // absorbing zero
-        if (a != 0)
+        if (a != 0) {
             EXPECT_EQ(f.mul(a, f.inv(a)), 1);       // inverse
+        }
         for (int b = 0; b < q; ++b)
             EXPECT_EQ(f.mul(a, b), f.mul(b, a));    // commutative
     }

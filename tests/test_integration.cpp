@@ -15,7 +15,6 @@
 #include "graph/algorithms.hpp"
 #include "routing/updown.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 
 namespace rfc {
 namespace {

@@ -37,8 +37,9 @@ TEST_P(Oft2P, RoutableWithDiameterTwo)
     EXPECT_TRUE(oracle.routable());
     for (int a = 0; a < fc.numLeaves(); ++a)
         for (int b = 0; b < fc.numLeaves(); ++b)
-            if (a != b)
+            if (a != b) {
                 EXPECT_EQ(oracle.leafDistance(a, b), 2);
+            }
 }
 
 TEST_P(Oft2P, MinimalRoutesAreUniqueAcrossCopies)

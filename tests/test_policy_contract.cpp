@@ -205,8 +205,9 @@ runMock(int shards, int jobs)
     // -DRFC_CHECK_INVARIANTS=ON) must agree with what the view showed.
     EXPECT_EQ(engine.checkContext().violations(), 0)
         << engine.checkContext().summary();
-    if (invariantChecksEnabled())
+    if (invariantChecksEnabled()) {
         EXPECT_GT(engine.checkContext().checksPerformed(), 0);
+    }
     return stats;
 }
 

@@ -148,9 +148,12 @@ TEST(Serialize, DotOutputContainsAllSwitches)
     writeDot(fc, ss);
     std::string dot = ss.str();
     EXPECT_NE(dot.find("graph"), std::string::npos);
-    for (int s = 0; s < fc.numSwitches(); ++s)
-        EXPECT_NE(dot.find("s" + std::to_string(s) + " ["),
-                  std::string::npos);
+    for (int s = 0; s < fc.numSwitches(); ++s) {
+        std::string node = "s";
+        node += std::to_string(s);
+        node += " [";
+        EXPECT_NE(dot.find(node), std::string::npos);
+    }
     // One edge line per wire.
     std::size_t count = 0, pos = 0;
     while ((pos = dot.find(" -- ", pos)) != std::string::npos) {

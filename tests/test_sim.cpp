@@ -4,12 +4,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "clos/fat_tree.hpp"
 #include "clos/faults.hpp"
 #include "clos/rfc.hpp"
+#include "exp/experiment.hpp"
 #include "routing/updown.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 
 namespace rfc {
 namespace {
@@ -317,7 +319,7 @@ TEST(UpDownOracleStats, AverageLeafDistanceMatchesCftStructure)
     EXPECT_NEAR(oracle.averageLeafDistance(), expect, 1e-9);
 }
 
-TEST(Sweep, LoadRangeSpacing)
+TEST(LoadRange, Spacing)
 {
     auto loads = loadRange(0.1, 1.0, 10);
     ASSERT_EQ(loads.size(), 10u);
@@ -326,7 +328,7 @@ TEST(Sweep, LoadRangeSpacing)
     EXPECT_NEAR(loads[1] - loads[0], 0.1, 1e-12);
 }
 
-TEST(Sweep, LoadRangeRejectsZeroAndBadBounds)
+TEST(LoadRange, RejectsZeroAndBadBounds)
 {
     // A range touching 0 would hand SimConfig a load it rejects.
     EXPECT_THROW(loadRange(0.0, 0.9, 5), std::invalid_argument);
@@ -335,29 +337,71 @@ TEST(Sweep, LoadRangeRejectsZeroAndBadBounds)
     EXPECT_THROW(loadRange(0.5, 0.2, 5), std::invalid_argument);
 }
 
-TEST(Sweep, RunLoadSweepProducesMonotoneOffered)
+TEST(LoadRange, EndpointsExactAndPointsInRange)
 {
-    auto fc = buildCft(8, 2);
-    UpDownOracle oracle(fc);
-    UniformTraffic traffic;
-    auto cfg = quickConfig(0.0);
-    auto results = runLoadSweep(fc, oracle, traffic, cfg,
-                                {0.2, 0.4, 0.6}, 2);
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_NEAR(results[0].accepted, 0.2, 0.03);
-    EXPECT_NEAR(results[1].accepted, 0.4, 0.04);
-    EXPECT_LE(results[0].avg_latency, results[2].avg_latency);
+    // The paper figures' default 0.2..1.0 in 7 (or 4) points used to
+    // end at 1.0000000000000002, which SimConfig rejects.
+    EXPECT_EQ(loadRange(0.2, 1.0, 7).back(), 1.0);
+    EXPECT_EQ(loadRange(0.2, 1.0, 4).back(), 1.0);
+
+    Rng rng(2017);
+    for (int points = 1; points <= 64; ++points) {
+        for (int draw = 0; draw < 50; ++draw) {
+            double a = 1.0 - rng.uniformReal();  // (0, 1]
+            double b = 1.0 - rng.uniformReal();
+            const double lo = std::min(a, b), hi = std::max(a, b);
+            auto loads = loadRange(lo, hi, points);
+            ASSERT_EQ(loads.size(), static_cast<std::size_t>(points));
+            if (points > 1) {
+                ASSERT_EQ(loads.front(), lo);
+            }
+            ASSERT_EQ(loads.back(), hi);
+            for (std::size_t i = 0; i < loads.size(); ++i) {
+                ASSERT_GE(loads[i], lo) << points << " points, #" << i;
+                ASSERT_LE(loads[i], hi) << points << " points, #" << i;
+                if (i > 0) {
+                    ASSERT_GE(loads[i], loads[i - 1]);
+                }
+            }
+        }
+        // Degenerate range and the full (0, 1] span.
+        for (double x : loadRange(0.3, 0.3, points))
+            ASSERT_EQ(x, 0.3);
+        ASSERT_EQ(loadRange(1e-3, 1.0, points).back(), 1.0);
+    }
 }
 
-TEST(Sweep, SaturationThroughputReasonable)
+TEST(LoadSweep, AcceptedTracksOfferedBelowSaturation)
 {
     auto fc = buildCft(8, 2);
     UpDownOracle oracle(fc);
-    UniformTraffic traffic;
-    auto cfg = quickConfig(0.0);
-    auto r = saturationThroughput(fc, oracle, traffic, cfg, 2);
-    EXPECT_GT(r.accepted, 0.5);
-    EXPECT_LE(r.accepted, 1.0);
+    ExperimentGrid grid;
+    grid.addNetwork("cft", fc, oracle);
+    grid.addTraffic("uniform");
+    grid.loads = {0.2, 0.4, 0.6};
+    grid.base = quickConfig(0.2);
+    grid.repetitions = 2;
+    auto points = ExperimentEngine(1, 7).run(grid).points;
+    ASSERT_EQ(points.size(), 3u);
+    EXPECT_NEAR(points[0].accepted.mean, 0.2, 0.03);
+    EXPECT_NEAR(points[1].accepted.mean, 0.4, 0.04);
+    EXPECT_LE(points[0].avg_latency.mean, points[2].avg_latency.mean);
+}
+
+TEST(LoadSweep, SaturationThroughputReasonable)
+{
+    auto fc = buildCft(8, 2);
+    UpDownOracle oracle(fc);
+    ExperimentGrid grid;
+    grid.addNetwork("cft", fc, oracle);
+    grid.addTraffic("uniform");
+    grid.loads = {1.0};
+    grid.base = quickConfig(1.0);
+    grid.repetitions = 2;
+    auto points = ExperimentEngine(1, 7).run(grid).points;
+    ASSERT_EQ(points.size(), 1u);
+    EXPECT_GT(points[0].accepted.mean, 0.5);
+    EXPECT_LE(points[0].accepted.mean, 1.0);
 }
 
 } // namespace

@@ -64,8 +64,9 @@ TEST(ForwardingTables, PopulationMatchesOracleReachability)
             EXPECT_EQ(has, oracle.minUps(sw, d) >= 0)
                 << "sw=" << sw << " d=" << d;
             populated += has;
-            if (sw < fc.numLeaves())
+            if (sw < fc.numLeaves()) {
                 EXPECT_TRUE(has);
+            }
         }
     }
     EXPECT_EQ(tables.populatedEntries(), populated);

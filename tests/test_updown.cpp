@@ -131,8 +131,9 @@ TEST(UpDownOracle, RandomNextHopWalksToDestination)
             ++hops;
             ASSERT_LE(hops, 4);
         }
-        if (a != b)
+        if (a != b) {
             EXPECT_EQ(hops, oracle.leafDistance(a, b));
+        }
     }
 }
 
