@@ -95,7 +95,8 @@ reportEngine(const GridResult &result, std::size_t n_points, int reps)
  * Run the Figures 8-10 experiment shape: declare the grid
  * networks x traffic patterns x offered loads, run it on the engine
  * (--jobs threads), and print accepted load and average latency side
- * by side per traffic pattern.  With --json, the full per-point
+ * by side per traffic pattern, plus the unroutable share of generated
+ * packets for any network that is not up/down routable.  With --json, the full per-point
  * aggregates (stddev/ci95, timing) are emitted instead of tables.
  */
 inline void
@@ -130,11 +131,19 @@ runPerfScenario(const Options &opts, const std::vector<PerfNetwork> &nets,
         return;
     }
 
+    // A network that is not up/down routable refuses some packets at
+    // the source; its "unr" column shows the refused share of generated
+    // packets, which its accepted load cannot show.
+    std::vector<bool> partial;
+    for (const auto &n : nets)
+        partial.push_back(!n.oracle->routable());
     for (std::size_t ti = 0; ti < traffics.size(); ++ti) {
         std::vector<std::string> headers{"offered"};
-        for (const auto &n : nets) {
-            headers.push_back("acc(" + n.label + ")");
-            headers.push_back("lat(" + n.label + ")");
+        for (std::size_t ni = 0; ni < nets.size(); ++ni) {
+            headers.push_back("acc(" + nets[ni].label + ")");
+            if (partial[ni])
+                headers.push_back("unr(" + nets[ni].label + ")");
+            headers.push_back("lat(" + nets[ni].label + ")");
         }
         TablePrinter t(headers);
         for (std::size_t li = 0; li < loads.size(); ++li) {
@@ -143,6 +152,12 @@ runPerfScenario(const Options &opts, const std::vector<PerfNetwork> &nets,
                 const auto &p = result.points[result.index(
                     ni, ti, li, traffics.size(), loads.size())];
                 row.push_back(TablePrinter::fmt(p.accepted.mean, 3));
+                if (partial[ni]) {
+                    const double gen = p.generated_packets.mean;
+                    row.push_back(TablePrinter::fmt(
+                        gen > 0.0 ? p.unroutable_packets.mean / gen : 0.0,
+                        3));
+                }
                 row.push_back(TablePrinter::fmt(p.avg_latency.mean, 1));
             }
             t.addRow(row);

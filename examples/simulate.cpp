@@ -141,7 +141,9 @@ main(int argc, char **argv)
     ExperimentEngine engine(opts.jobs(), cfg.seed);
     GridResult result = engine.run(grid);
 
-    std::cout << "traffic: " << tname << ", route mode: " << mode
+    // Run telemetry goes to stderr: stdout stays identical across runs
+    // and --jobs values (and is one JSON document under --json).
+    std::cerr << "traffic: " << tname << ", route mode: " << mode
               << ", " << trials << " trial(s)/point, "
               << result.jobs << " job(s), "
               << TablePrinter::fmt(result.wall_seconds, 2) << " s\n";

@@ -10,9 +10,10 @@
  * lightweight window over the engine's hot state - per-output-port
  * credits, per-input-VC queue depths (VC occupancy) and link busy
  * times - passed at every policy decision point (injection, route
- * resolution, output-VC selection).  It is a handful of raw pointers
- * into the engine's SoA arrays, built on the stack per call; policies
- * that ignore it pay nothing.
+ * resolution, output-VC selection, the wake cycle of a head blocked
+ * on busy out ports).  It is a handful of raw pointers into the
+ * engine's SoA arrays, built on the stack per call; policies that
+ * ignore it pay nothing.
  *
  * Shard-locality contract: in sharded execution a policy runs on the
  * shard owning the deciding switch/terminal, concurrently with other
@@ -110,6 +111,16 @@ class CongestionView
     outBusy(std::int64_t out_gid) const
     {
         return out_busy_[out_gid] > now_;
+    }
+
+    /**
+     * Busy-until cycle of out port @p out_gid: the port is free at
+     * every cycle >= outFreeAt() until the next forward through it.
+     */
+    long long
+    outFreeAt(std::int64_t out_gid) const
+    {
+        return out_busy_[out_gid];
     }
 
     // ---- input side: local VC occupancy ----------------------------

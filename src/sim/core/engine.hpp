@@ -36,6 +36,14 @@
  *     // (cv.credit(o_gid, v)), or -1 (blocked).
  *     int chooseOutVc(const CongestionView &cv, std::int64_t o_gid,
  *                     const Pkt &p, Rng &rng);
+ *     // Earliest cycle after cv.now() at which any legal out port of
+ *     // head p at switch s is free (cv.outFreeAt), i.e. cv.now() + 1
+ *     // when one already is.  Arbitration asks after routeOut(s, p) in
+ *     // the same cycle, the invariant guards at any time.  Never draws
+ *     // from an RNG and never mutates p.  It may under-estimate
+ *     // (cv.now() + 1 is always safe), never over-estimate.
+ *     long long earliestOutFree(const CongestionView &cv, int s,
+ *                               const Pkt &p);
  *     void onForward(Pkt &p);          // per-hop bookkeeping
  *     double hopsOf(const Pkt &p) const;
  *     // Invalidate routing caches after a cycle hook mutated the
@@ -43,8 +51,8 @@
  *     void onTopologyChange();
  *   };
  *
- * The CongestionView (sim/core/congestion.hpp) passed at the three
- * decision points is a read-only, shard-local window over credits,
+ * The CongestionView (sim/core/congestion.hpp) passed at every policy
+ * call that takes one is a read-only, shard-local window over credits,
  * queue depths and busy times; its header documents exactly which
  * state a policy may read from which call.  Oblivious policies ignore
  * it; adaptive policies (policy_adaptive.hpp, policy_flowlet.hpp)
@@ -87,8 +95,19 @@
  *    threads advance the shards, so any `jobs` value is bit-identical.
  *    Instead of rescanning every nonempty VC each cycle, sharded mode
  *    schedules each input VC on a wake wheel at the earliest cycle it
- *    could next act (head-ready time or input-port busy release) -
- *    the main single-thread speedup over the legacy scan.
+ *    could next act - the main single-thread speedup over the legacy
+ *    scan.  That cycle is the latest of the head-ready time, the
+ *    input-port busy release and, when every legal out port of the
+ *    head is busy (found at scan time, or after losing arbitration to
+ *    a winner that just took the port), the first cycle one of them
+ *    frees (Policy::earliestOutFree), capped at the next cycle-hook
+ *    cycle since hooks may rewrite the routing tables.  Skipped cycles
+ *    are ones where every draw would have hit a busy port, so the
+ *    model is unchanged; the RNG is re-streamed.  A head still polls
+ *    at now + 1 when it is parked without a route, when the port it
+ *    drew is busy but another legal port is free, or when its port is
+ *    free but lacks credit (credits return from the peer shard, with
+ *    no local event to wait on).
  */
 #ifndef RFC_SIM_CORE_ENGINE_HPP
 #define RFC_SIM_CORE_ENGINE_HPP
@@ -486,7 +505,24 @@ class VctEngine
         if (!ivc_in_wheel_[ivc]) {
             ivc_in_wheel_[ivc] = 1;
             c.wake_wheel[at % wheel_size_].push_back(ivc);
+            if constexpr (kGuards)
+                wake_at_[ivc] = at;
         }
+    }
+
+    /**
+     * Wake cycle of a head at switch @p s that cannot move for want of
+     * a free out port: the first cycle any legal one frees, but no
+     * later than the next hook (it may change the legal set).
+     */
+    long long
+    outBlockedWake(ShardCtx &c, const CongestionView &cv, int s,
+                   const Pkt &p) const
+    {
+        const long long at = c.policy.earliestOutFree(cv, s, p);
+        return hook_idx_ < hook_cycles_.size()
+                   ? std::min(at, hook_cycles_[hook_idx_])
+                   : at;
     }
 
     /** Enqueue @p pkt_id on input VC @p gi (ring insert + scheduling). */
@@ -618,6 +654,7 @@ class VctEngine
     // ---- guards -----------------------------------------------------
     void guardCycleLegacy(ShardCtx &c, long long now);
     void guardScanGlobal(long long now);
+    void guardWakeSchedule(long long now);
     void guardConservationGlobal(long long now);
 
     // ---- cycle hook (fault injection) ------------------------------
@@ -671,6 +708,8 @@ class VctEngine
 
     // Sharded-mode wake wheel membership.
     std::vector<std::uint8_t> ivc_in_wheel_;
+    // Guard builds only: the cycle each wheel member is due.
+    std::vector<long long> wake_at_;
 
     // ---- terminals --------------------------------------------------
     std::vector<std::int64_t> inj_busy_;
@@ -765,6 +804,8 @@ VctEngine<Policy>::buildStructures()
 
     if (sharded_) {
         ivc_in_wheel_.assign(ivcs, 0);
+        if constexpr (kGuards)
+            wake_at_.assign(ivcs, -1);
     } else {
         nonempty_.resize(nsw);
         nonempty_pos_.assign(ivcs, -1);
@@ -1430,8 +1471,14 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
             ++c.rerouted;
         }
         std::int64_t o_gid = lay_.iport_off[s] + o_local;
-        bool blocked = out_busy_[o_gid] > now;
-        if (!blocked && out_peer_ivc_base_[o_gid] >= 0) {
+        if (out_busy_[o_gid] > now) {
+            // Every draw hits a busy port until one of the legal
+            // ports frees: sleep until then.
+            wakePush(c, gi, outBlockedWake(c, cv, s, p));
+            continue;
+        }
+        bool blocked = false;
+        if (out_peer_ivc_base_[o_gid] >= 0) {
             bool has_credit;
             if (fixed_vc >= 0) {
                 has_credit = out_credits_[o_gid * V + fixed_vc] > 0;
@@ -1452,6 +1499,8 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
             }
         }
         if (blocked) {
+            // Free port, no credit: credits return without a local
+            // event to wait on, so poll.
             wakePush(c, gi, now + 1);
             continue;
         }
@@ -1476,16 +1525,22 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
         cand_stamp_[o_gid] = -1;
     }
 
-    // Reschedule every scanned VC that still holds packets: losers and
-    // blocked movers retry, winners sleep out their port's busy time.
+    // Reschedule every scanned VC that still holds packets: winners
+    // and VCs whose input port another VC won sleep out the port's busy
+    // time; arbitration losers (head still in place, every other wait
+    // over) sleep until a legal out port frees - the winner just took
+    // the one they drew.
     for (std::int64_t gi : c.scanned_ivcs) {
         if (q_count_[gi] == 0 || ivc_in_wheel_[gi])
             continue;
-        long long busy = in_busy_[gi / V];
-        long long ready = ring_[gi * cap + q_head_[gi]].ready;
-        wakePush(c, gi,
-                 std::max<long long>(std::max<long long>(ready, busy),
-                                     now + 1));
+        const std::int64_t iport = gi / V;
+        const RingSlot &head = ring_[gi * cap + q_head_[gi]];
+        long long at = std::max<long long>(
+            std::max<long long>(head.ready, in_busy_[iport]), now + 1);
+        if (at == now + 1)
+            at = outBlockedWake(c, cv, lay_.port_owner[iport],
+                                pkt(head.pkt));
+        wakePush(c, gi, at);
     }
 }
 
@@ -1602,6 +1657,50 @@ VctEngine<Policy>::guardScanGlobal(long long now)
                     "queue depth " + std::to_string(q_count_[ivc]) +
                         " > cap " + std::to_string(cap));
         }
+        if (sharded_)
+            guardWakeSchedule(now);
+    }
+}
+
+/**
+ * Sharded mode: every queued input VC sits on the wake wheel, due no
+ * later than the first cycle its head could move - head ready, input
+ * port free, a legal out port free (capped at the next hook).  A later
+ * wake would skip cycles in which the head could have moved, i.e.
+ * change the model rather than re-stream its draws.
+ */
+template <class Policy>
+void
+VctEngine<Policy>::guardWakeSchedule(long long now)
+{
+    const int V = cfg_.vcs;
+    const int cap = cfg_.buf_packets;
+    const CongestionView cv = view(now);
+    for (std::int64_t ivc = 0;
+         ivc < static_cast<std::int64_t>(q_count_.size()); ++ivc) {
+        if (q_count_[ivc] == 0)
+            continue;
+        const std::int64_t iport = ivc / V;
+        const int s = lay_.port_owner[iport];
+        check_.countChecks();
+        if (!ivc_in_wheel_[ivc]) {
+            check_.report("wake-lost", now, s, static_cast<int>(ivc % V),
+                          "queued input VC " + std::to_string(ivc) +
+                              " is not on the wake wheel");
+            continue;
+        }
+        const RingSlot &head = ring_[ivc * cap + q_head_[ivc]];
+        const long long bound = std::max<long long>(
+            {now + 1, head.ready, in_busy_[iport],
+             outBlockedWake(shards_[shardOfSwitch(s)], cv, s,
+                            pkt(head.pkt))});
+        if (wake_at_[ivc] > bound)
+            check_.report("wake-late", now, s, static_cast<int>(ivc % V),
+                          "input VC " + std::to_string(ivc) +
+                              " wakes at " +
+                              std::to_string(wake_at_[ivc]) +
+                              ", its head could move at " +
+                              std::to_string(bound));
     }
 }
 

@@ -160,6 +160,12 @@ class AdaptiveUpDownPolicy
         return base_.chooseOutVc(cv, o_gid, p, rng);
     }
 
+    long long
+    earliestOutFree(const CongestionView &cv, int s, const Pkt &p)
+    {
+        return base_.earliestOutFree(cv, s, p);
+    }
+
     void onForward(Pkt &p) { base_.onForward(p); }
 
     double hopsOf(const Pkt &p) const { return base_.hopsOf(p); }

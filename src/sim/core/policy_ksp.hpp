@@ -136,6 +136,18 @@ class KspPolicy
         return cv.credit(o_gid, out_vc) > 0 ? out_vc : -1;
     }
 
+    long long
+    earliestOutFree(const CongestionView &cv, int s, const Pkt &p) const
+    {
+        // One legal port: the ejection port or the path's next hop,
+        // which routeOut has resolved into cur_out by now.
+        const int o = s == p.dest_sw ? lay_->n_net[s] + p.dest_local
+                                     : p.cur_out;
+        if (o < 0)
+            return cv.now() + 1;
+        return std::max(cv.now() + 1, cv.outFreeAt(cv.portBase(s) + o));
+    }
+
     void
     onForward(Pkt &p)
     {

@@ -9,12 +9,17 @@
  * the Valiant intermediate (if any), then picks the highest-credit VC
  * with a random tie-break; every arbitration re-draws the up/down ECMP
  * choice; the output VC is drawn uniformly among the credited channels
- * of the packet's phase range.
+ * of the packet's phase range.  Legacy mode arbitrates a blocked head
+ * every cycle.  Sharded mode skips the cycles in which every legal out
+ * port of the head is busy (earliestOutFree), where no draw could
+ * succeed; the head re-draws in the first cycle one frees.
  */
 #ifndef RFC_SIM_CORE_POLICY_UPDOWN_HPP
 #define RFC_SIM_CORE_POLICY_UPDOWN_HPP
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "clos/folded_clos.hpp"
@@ -187,6 +192,33 @@ class UpDownPolicy
             }
         }
         return out_vc;
+    }
+
+    long long
+    earliestOutFree(const CongestionView &cv, int s, const Pkt &p)
+    {
+        const long long next = cv.now() + 1;
+        // routeOut at s already switched an arrived Valiant packet to
+        // phase 1; the test below reads the same target either way.
+        const std::int32_t target = p.phase == 0 && s != p.inter_leaf
+                                        ? p.inter_leaf
+                                        : p.dest_leaf;
+        const std::int64_t base = cv.portBase(s);
+        if (s == target)
+            return std::max(next, cv.outFreeAt(base + lay_->n_up[s] +
+                                               p.dest_local));
+        const ChoiceEntry &e = entryFor(s, target);
+        if (e.need < 0 || e.count == 0 || e.count == kWideFallback)
+            return next;
+        const std::int64_t off = base + (e.need == 0 ? lay_->n_up[s] : 0);
+        long long first = std::numeric_limits<long long>::max();
+        for (std::uint64_t m = e.mask; m != 0; m &= m - 1) {
+            const long long at = cv.outFreeAt(off + __builtin_ctzll(m));
+            if (at <= next)
+                return next;
+            first = std::min(first, at);
+        }
+        return first;
     }
 
     void onForward(Pkt &p) { ++p.hops; }

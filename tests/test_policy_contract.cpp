@@ -9,7 +9,13 @@
  * exposes at each call:
  *
  *  - the hooks actually fire (counts > 0) and pair up (every
- *    initPacket follows a successful injectVc),
+ *    initPacket follows a successful injectVc; without the invariant
+ *    guards, which may ask at any time, every earliestOutFree follows
+ *    a routeOut of the same head at the same switch in the same
+ *    cycle),
+ *  - earliestOutFree answers a cycle in (now, now + pkt_phits], and
+ *    one past now + 1 only while the port routeOut drew stays busy
+ *    at least that long,
  *  - now() never runs backwards within one policy clone,
  *  - credits stay within [0, bufPackets] and backlog within
  *    [0, vcs * bufPackets] for every port of the deciding switch,
@@ -27,6 +33,7 @@
 
 #include <atomic>
 #include <memory>
+#include <unordered_map>
 
 #include "check/guard.hpp"
 #include "clos/fat_tree.hpp"
@@ -48,10 +55,14 @@ struct MockStats
     std::atomic<long long> init_calls{0};
     std::atomic<long long> route_calls{0};
     std::atomic<long long> choose_calls{0};
+    std::atomic<long long> out_free_calls{0};
+    std::atomic<long long> out_free_after_route{0};
+    std::atomic<long long> out_free_sleeps{0};  //!< answers > now + 1
     std::atomic<long long> bounds_violations{0};
     std::atomic<long long> nonmonotone_now{0};
     int vcs = 0;
     int buf = 0;
+    int pkt_phits = 0;
     bool check_peer = false;  //!< legacy mode only (cross-switch read)
 };
 
@@ -67,6 +78,7 @@ class MockPolicy
     {
         stats_->vcs = cfg.vcs;
         stats_->buf = cfg.buf_packets;
+        stats_->pkt_phits = cfg.pkt_phits;
     }
 
     bool routable(long long term, long long dest)
@@ -105,7 +117,9 @@ class MockPolicy
         ++stats_->route_calls;
         observeNow(cv);
         auditSwitch(cv, s);
-        return base_.routeOut(cv, s, p, rng, fixed_vc);
+        const int o = base_.routeOut(cv, s, p, rng, fixed_vc);
+        drawn_[&p] = {cv.now(), s, o};
+        return o;
     }
 
     void
@@ -125,6 +139,35 @@ class MockPolicy
                 ++stats_->bounds_violations;
         }
         return base_.chooseOutVc(cv, o_gid, p, rng);
+    }
+
+    long long
+    earliestOutFree(const CongestionView &cv, int s, const Pkt &p)
+    {
+        ++stats_->out_free_calls;
+        observeNow(cv);
+        const long long at = base_.earliestOutFree(cv, s, p);
+        // Strictly in the future, and never past the slowest port's
+        // release: a port is busy for one packet time at most.
+        if (at <= cv.now() || at > cv.now() + stats_->pkt_phits)
+            ++stats_->bounds_violations;
+        // Arbitration asks after this cycle's routeOut of the same head
+        // at s (the guards may ask at any time).  A sleep past the next
+        // cycle must leave the port routeOut drew - one of the legal
+        // ones - busy at least that long.
+        auto it = drawn_.find(&p);
+        if (it != drawn_.end() && it->second.now == cv.now() &&
+            it->second.s == s) {
+            ++stats_->out_free_after_route;
+            if (it->second.port < 0) {
+                ++stats_->bounds_violations;  // unroutable heads poll
+            } else if (at > cv.now() + 1) {
+                ++stats_->out_free_sleeps;
+                if (cv.outFreeAt(cv.portBase(s) + it->second.port) < at)
+                    ++stats_->bounds_violations;
+            }
+        }
+        return at;
     }
 
     void onForward(Pkt &p) { base_.onForward(p); }
@@ -173,8 +216,17 @@ class MockPolicy
         }
     }
 
+    /** Last routeOut answer for one packet (keyed by its address). */
+    struct Drawn
+    {
+        long long now;
+        int s;
+        int port;
+    };
+
     UpDownPolicy base_;
     std::shared_ptr<MockStats> stats_;
+    std::unordered_map<const Pkt *, Drawn> drawn_;
     long long last_now_ = -1;  //!< per-clone (clones are per-shard)
 };
 
@@ -230,18 +282,28 @@ TEST(PolicyContract, LegacyModeHooksAndBounds)
 {
     auto stats = runMock(0, 1);
     expectCleanContract(*stats);
+    // Legacy mode polls blocked heads and never asks for a wake cycle.
+    EXPECT_EQ(stats->out_free_calls.load(), 0);
 }
 
 TEST(PolicyContract, ShardedModeHooksAndBounds)
 {
     auto stats = runMock(4, 1);
     expectCleanContract(*stats);
+    // At load 0.7 heads find every legal port busy and sleep.
+    EXPECT_GT(stats->out_free_calls.load(), 0);
+    EXPECT_GT(stats->out_free_sleeps.load(), 0);
+    if (!invariantChecksEnabled()) {
+        EXPECT_EQ(stats->out_free_after_route.load(),
+                  stats->out_free_calls.load());
+    }
 }
 
 TEST(PolicyContract, ShardedParallelHooksAndBounds)
 {
     auto stats = runMock(4, 4);
     expectCleanContract(*stats);
+    EXPECT_GT(stats->out_free_sleeps.load(), 0);
 }
 
 } // namespace

@@ -3,7 +3,9 @@
  * Simulator runtime-guard soak and traffic-distribution checks (tier 2).
  *
  * Runs both simulators across a grid of topologies, loads and routing
- * modes and asserts the CheckContext recorded zero violations.  When
+ * modes, in legacy and in sharded execution (whose guards also audit
+ * the wake-wheel schedule), and asserts the CheckContext recorded zero
+ * violations.  When
  * the library is built with -DRFC_CHECK_INVARIANTS=ON the context must
  * also prove non-vacuity (checksPerformed() > 0); in a default build
  * the guards compile out and the context stays empty.  The suite also
@@ -52,7 +54,8 @@ expectCleanContext(const CheckContext &ctx)
 
 TEST(SimInvariants, ClosSimulatorGridRunsClean)
 {
-    // 3 topologies x 3 loads x 3 routing modes = 27 simulations.
+    // 3 topologies x 3 loads x 3 routing modes x 2 execution modes =
+    // 54 simulations.
     struct Topo
     {
         FoldedClos fc;
@@ -77,12 +80,16 @@ TEST(SimInvariants, ClosSimulatorGridRunsClean)
             for (RouteMode mode :
                  {RouteMode::kMinimal, RouteMode::kUpDownRandom,
                   RouteMode::kValiant}) {
-                UniformTraffic traffic;
-                Simulator sim(t.fc, t.oracle, traffic,
-                              quickConfig(load, ++seed, mode));
-                auto r = sim.run();
-                EXPECT_GT(r.delivered_packets, 0);
-                expectCleanContext(sim.checkContext());
+                ++seed;
+                for (int shards : {0, 2}) {
+                    UniformTraffic traffic;
+                    SimConfig cfg = quickConfig(load, seed, mode);
+                    cfg.shards = shards;
+                    Simulator sim(t.fc, t.oracle, traffic, cfg);
+                    auto r = sim.run();
+                    EXPECT_GT(r.delivered_packets, 0);
+                    expectCleanContext(sim.checkContext());
+                }
             }
         }
     }
@@ -112,13 +119,18 @@ TEST(SimInvariants, DirectSimulatorGridRunsClean)
     for (double load : {0.1, 0.5, 1.0}) {
         for (PathPolicy policy :
              {PathPolicy::kShortestEcmp, PathPolicy::kAllKsp}) {
-            UniformTraffic traffic;
-            SimConfig cfg = quickConfig(load, ++seed, RouteMode::kMinimal);
-            cfg.vcs = 6;  // >= max ksp hops on this small graph
-            DirectSimulator sim(g, routes, 2, traffic, cfg, policy);
-            auto r = sim.run();
-            EXPECT_GT(r.delivered_packets, 0);
-            expectCleanContext(sim.checkContext());
+            ++seed;
+            for (int shards : {0, 2}) {
+                UniformTraffic traffic;
+                SimConfig cfg =
+                    quickConfig(load, seed, RouteMode::kMinimal);
+                cfg.vcs = 6;  // >= max ksp hops on this small graph
+                cfg.shards = shards;
+                DirectSimulator sim(g, routes, 2, traffic, cfg, policy);
+                auto r = sim.run();
+                EXPECT_GT(r.delivered_packets, 0);
+                expectCleanContext(sim.checkContext());
+            }
         }
     }
 }
